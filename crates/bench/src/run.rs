@@ -14,15 +14,24 @@
 //!   study, replayed through unbounded-TU oracle lanes in a second
 //!   streaming pass over the retained event stream (no
 //!   [`AnnotatedTrace`] is materialized),
-//! * the live-in profiler (when requested — only Figure 8 needs it),
 //! * an [`EventCollector`] that retains the compact event stream for the
 //!   replay-style analyses (Table 1 statistics, LET/LIT sweeps, and the
 //!   phase-2 oracle replay).
+//!
+//! Every sink of that pass consumes loop events only, so the session
+//! asks the CPU for no per-instruction payload. The live-in profiler
+//! (only Figure 8 needs it) reads every instruction's registers and
+//! memory words, so it runs in a **separate profile pass**: its own
+//! [`Session`] with the default CLS and the [`LiveInProfiler`] as the
+//! only observer. [`execute_all`] queues each program's profile pass as
+//! a work item of its own, behind the main passes, so it runs on
+//! whichever thread is free rather than lengthening the grid pass.
 //!
 //! Workloads run in parallel on a work-queue sized to the machine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use loopspec_asm::Program;
 use loopspec_core::{EventCollector, LoopEvent, LoopStats, LoopStatsReport};
 use loopspec_cpu::RunLimits;
 use loopspec_dataspec::{DataSpecReport, LiveInProfiler};
@@ -69,8 +78,9 @@ pub struct WorkloadRun {
 /// the event stream.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecuteOptions {
-    /// Run the live-in profiler (noticeably more expensive — only
-    /// Figure 8 needs it).
+    /// Run the live-in profiler for Figure 8, in a profile pass of its
+    /// own (a second [`Session`] over the program, not a sink on the
+    /// main pass).
     pub dataspec: bool,
     /// Fan out to the full (policy × TU) streaming engine grid. Callers
     /// that only want the event stream (table/detector sweeps) can turn
@@ -111,7 +121,7 @@ impl From<&loopspec_dist::JobSpec> for ExecuteOptions {
 
 impl WorkloadRun {
     /// Executes `workload` at `scale` in a single streaming pass.
-    /// `with_dataspec` additionally runs the live-in profiler; the full
+    /// `with_dataspec` additionally runs the live-in profile pass; the full
     /// engine grid is always computed (see [`WorkloadRun::execute_with`]
     /// to opt out).
     ///
@@ -131,21 +141,23 @@ impl WorkloadRun {
     }
 
     /// Executes `workload` at `scale`, computing exactly the artifacts
-    /// `opts` asks for.
+    /// `opts` asks for: the main pass, then (with
+    /// [`ExecuteOptions::dataspec`]) the live-in profile pass.
     ///
     /// # Panics
     ///
     /// Panics if the workload fails to assemble, run, or halt — these are
     /// suite bugs, not user conditions.
     pub fn execute_with(workload: Workload, scale: Scale, opts: ExecuteOptions) -> Self {
-        let program = workload
-            .build(scale)
-            .unwrap_or_else(|e| panic!("{}: assembly failed: {e}", workload.name));
-        let limits = RunLimits {
-            max_instrs: 1_000_000_000,
-            ..RunLimits::default()
-        };
+        let mut run = Self::main_pass(workload, scale, opts);
+        run.dataspec = opts.dataspec.then(|| profile_pass(workload, scale));
+        run
+    }
 
+    /// Everything but Figure 8: one session fanning loop events out to
+    /// the collector, the grid and the oracle's count log.
+    fn main_pass(workload: Workload, scale: Scale, opts: ExecuteOptions) -> Self {
+        let program = build(workload, scale);
         let mut collector = EventCollector::default();
         // The grid runs as ONE registered sink: a shared-annotation
         // EngineGrid, so the session pays one virtual call per event
@@ -161,7 +173,6 @@ impl WorkloadRun {
         for &(p, tus) in &points {
             p.add_to_grid(&mut grid, tus);
         }
-        let mut profiler = opts.dataspec.then(LiveInProfiler::new);
         // Phase 1 of the two-phase oracle: the count log rides the same
         // fan-out as every other sink.
         let mut count_log = opts.oracle.then(IterationCountLog::new);
@@ -174,12 +185,9 @@ impl WorkloadRun {
         if let Some(log) = count_log.as_mut() {
             session.observe_loops(log);
         }
-        if let Some(p) = profiler.as_mut() {
-            session.observe_both(p);
-        }
 
         let out = session
-            .run(&program, limits)
+            .run(&program, limits())
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", workload.name));
         assert!(out.halted(), "{}: did not halt", workload.name);
 
@@ -195,7 +203,6 @@ impl WorkloadRun {
             .map(|((p, tus), report)| (p, tus, report.clone()))
             .collect();
 
-        let dataspec = profiler.map(|p| p.report());
         let (events, instructions) = collector.into_parts();
 
         // Phase 2: replay the retained event stream through unbounded
@@ -215,7 +222,7 @@ impl WorkloadRun {
             workload,
             events,
             instructions,
-            dataspec,
+            dataspec: None,
             reports,
             ideal,
         }
@@ -289,46 +296,97 @@ impl WorkloadRun {
     }
 }
 
+/// Every pass's limits: a billion-instruction budget.
+fn limits() -> RunLimits {
+    RunLimits {
+        max_instrs: 1_000_000_000,
+        ..RunLimits::default()
+    }
+}
+
+fn build(workload: Workload, scale: Scale) -> Program {
+    workload
+        .build(scale)
+        .unwrap_or_else(|e| panic!("{}: assembly failed: {e}", workload.name))
+}
+
+/// Figure 8's profile pass: a session with the default CLS and the
+/// live-in profiler as its only observer.
+fn profile_pass(workload: Workload, scale: Scale) -> DataSpecReport {
+    let program = build(workload, scale);
+    let mut profiler = LiveInProfiler::new();
+    let mut session = Session::new();
+    session.observe_both(&mut profiler);
+    let out = session
+        .run(&program, limits())
+        .unwrap_or_else(|e| panic!("{}: profile pass failed: {e}", workload.name));
+    assert!(out.halted(), "{}: did not halt", workload.name);
+    profiler.report()
+}
+
 /// Executes all `workloads` in parallel and returns the runs in the same
 /// order, computing the artifacts `opts` asks for (callers that never
 /// render Figure 5 or Figure 8 should turn `oracle` / `dataspec` off
 /// and skip those passes entirely). A shared work-queue feeds up to
 /// `available_parallelism` worker threads, so an 18-workload batch
 /// saturates the machine without spawning 18 threads on a 4-core box.
+///
+/// Each program's main pass and, with `dataspec`, its profile pass are
+/// separate work items: first every main pass, then every profile pass.
+/// The profile passes are the short ones, so they fill the queue's tail
+/// on whichever threads the main passes free, and no program's
+/// profiling waits behind its own grid.
 pub fn execute_all(workloads: &[Workload], scale: Scale, opts: ExecuteOptions) -> Vec<WorkloadRun> {
+    let n = workloads.len();
+    let tasks = if opts.dataspec { 2 * n } else { n };
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .clamp(1, workloads.len().max(1));
+        .clamp(1, tasks.max(1));
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<WorkloadRun>> = Vec::new();
-    results.resize_with(workloads.len(), || None);
+    let mut runs: Vec<Option<WorkloadRun>> = Vec::new();
+    runs.resize_with(n, || None);
+    let mut profiles: Vec<Option<DataSpecReport>> = vec![None; n];
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next = &next;
                 s.spawn(move || {
-                    let mut local = Vec::new();
+                    let (mut main, mut profile) = (Vec::new(), Vec::new());
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(w) = workloads.get(i) else { break };
-                        local.push((i, WorkloadRun::execute_with(*w, scale, opts)));
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= tasks {
+                            break;
+                        }
+                        let (i, w) = (t % n, workloads[t % n]);
+                        if t < n {
+                            main.push((i, WorkloadRun::main_pass(w, scale, opts)));
+                        } else {
+                            profile.push((i, profile_pass(w, scale)));
+                        }
                     }
-                    local
+                    (main, profile)
                 })
             })
             .collect();
         for h in handles {
-            for (i, run) in h.join().expect("workload worker panicked") {
-                results[i] = Some(run);
+            let (main, profile) = h.join().expect("workload worker panicked");
+            for (i, run) in main {
+                runs[i] = Some(run);
+            }
+            for (i, report) in profile {
+                profiles[i] = Some(report);
             }
         }
     });
 
-    results
-        .into_iter()
-        .map(|r| r.expect("work queue covered every index"))
+    runs.into_iter()
+        .zip(profiles)
+        .map(|(run, dataspec)| WorkloadRun {
+            dataspec,
+            ..run.expect("work queue covered every index")
+        })
         .collect()
 }
 
@@ -421,6 +479,43 @@ mod tests {
         let runs = execute_all(&ws, Scale::Test, ExecuteOptions::default());
         assert_eq!(runs[0].workload.name, "gcc");
         assert_eq!(runs[1].workload.name, "li");
+    }
+
+    #[test]
+    fn profile_passes_leave_the_main_pass_untouched() {
+        use loopspec_dist::LaneReport;
+
+        let ws = loopspec_workloads::all();
+        let plain = execute_all(&ws, Scale::Test, ExecuteOptions::default());
+        let profiled = execute_all(
+            &ws,
+            Scale::Test,
+            ExecuteOptions {
+                dataspec: true,
+                ..ExecuteOptions::default()
+            },
+        );
+        let lanes = |run: &WorkloadRun| -> Vec<_> {
+            run.reports()
+                .map(|(p, tus, r)| (p, tus, LaneReport::from(r)))
+                .collect()
+        };
+        let fig5 = |run: &WorkloadRun| {
+            [run.ideal_all(), run.ideal_prefix()]
+                .map(|i| (i.instructions, i.cycles, i.tpc.to_bits()))
+        };
+        for (a, b) in plain.iter().zip(&profiled) {
+            let name = b.workload.name;
+            assert_eq!(a.workload.name, name);
+            assert!(a.dataspec.is_none(), "{name}");
+            assert_eq!(a.instructions, b.instructions, "{name}");
+            assert_eq!(a.events, b.events, "{name}");
+            assert_eq!(lanes(a), lanes(b), "{name}");
+            assert_eq!(fig5(a), fig5(b), "{name}");
+            let single = WorkloadRun::execute(b.workload, Scale::Test, true);
+            assert_eq!(b.dataspec, single.dataspec, "{name}");
+            assert!(b.dataspec.is_some_and(|d| d.iterations > 0), "{name}");
+        }
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! A tiny multiplicative hasher for the engine's small-integer keys.
+//! A tiny multiplicative hasher for the simulator's small-integer keys.
 //!
 //! The speculation engine touches its `segments` and `spec` maps on
-//! every iteration event — several lookups per event per engine
-//! configuration, millions of times per grid pass. The keys are dense
-//! machine integers (execution ordinals, iteration indices, loop target
-//! addresses), for which `std`'s DoS-resistant SipHash costs more than
+//! every iteration event, and the live-in profiler probes its address
+//! sets on every load and store of every open iteration — millions of
+//! lookups per pass. The keys are dense machine integers (execution
+//! ordinals, iteration indices, loop target addresses, word addresses,
+//! path hashes), for which `std`'s DoS-resistant SipHash costs more than
 //! the lookup itself. This is the classic Fx/FNV-style mix: one rotate,
 //! one xor, one multiply per word. It is **not** collision-resistant
 //! against adversarial keys and must only be used for internal,
 //! simulator-generated keys.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor hasher (the rustc `FxHasher` recipe) over 64-bit words.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 /// Knuth's 64-bit multiplicative-hashing constant (2^64 / φ, odd).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -64,7 +65,10 @@ impl Hasher for FxHasher {
 }
 
 /// A `HashMap` keyed by trusted small integers, hashed with [`FxHasher`].
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` of trusted small integers, hashed with [`FxHasher`].
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

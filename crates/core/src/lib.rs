@@ -49,6 +49,7 @@
 mod cls;
 mod detector;
 mod event;
+pub mod hash;
 mod hitratio;
 pub mod sink;
 pub mod snap;

@@ -49,7 +49,7 @@ mod frame;
 mod profile;
 mod value_pred;
 
-pub use profile::{DataSpecProfiler, DataSpecReport, IterRecord, LiveInProfiler};
+pub use profile::{DataSpecProfiler, DataSpecReport, LiveInProfiler};
 pub use value_pred::{PredOutcome, StridePredictor};
 
 /// Maximum live-in memory slots tracked per iteration; iterations with

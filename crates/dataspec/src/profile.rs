@@ -1,53 +1,37 @@
 //! The §4 profiler: paths, live-ins and their predictability.
 
-use std::collections::HashMap;
-
+use loopspec_core::hash::FastMap;
 use loopspec_core::{LoopDetector, LoopEvent, LoopEventSink, LoopId};
 use loopspec_cpu::{InstrEvent, Tracer};
 use loopspec_isa::ControlKind;
 
-use crate::frame::{reg_slot, IterFrame};
-use crate::value_pred::{PredOutcome, StridePredictor};
+use crate::frame::{InstrFacts, IterFrame};
+use crate::value_pred::Stride;
 
-/// Per-iteration profiling record: which path the iteration took and how
-/// many of its live-ins were stride-predicted correctly.
+/// The sums [`aggregate`] needs over the closed iterations of one
+/// (loop, path) pair.
 ///
-/// Records are kept so the most-frequent-path filter can be applied *post
-/// hoc*, exactly like the paper's two-phase measurement ("we have first
-/// identified for each loop the different control flows…; for these
-/// iterations we have measured…").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IterRecord {
-    /// The loop this iteration belongs to.
-    pub loop_id: LoopId,
-    /// Path signature (hash of conditional-branch outcomes).
-    pub path: u64,
-    /// Live-in registers observed.
-    pub lr_seen: u16,
-    /// ... of which correctly predicted.
-    pub lr_correct: u16,
-    /// Live-in memory locations observed.
-    pub lm_seen: u16,
-    /// ... of which correctly predicted (address *and* value).
-    pub lm_correct: u16,
-}
-
-impl IterRecord {
-    /// All live-in registers predicted correctly (vacuously true with no
-    /// live-ins).
-    pub fn all_lr(&self) -> bool {
-        self.lr_correct == self.lr_seen
-    }
-
-    /// All live-in memory locations predicted correctly.
-    pub fn all_lm(&self) -> bool {
-        self.lm_correct == self.lm_seen
-    }
-
-    /// All live-in values (registers and memory) predicted correctly.
-    pub fn all_data(&self) -> bool {
-        self.all_lr() && self.all_lm()
-    }
+/// The most-frequent-path filter is applied *post hoc*, exactly like
+/// the paper's two-phase measurement ("we have first identified for
+/// each loop the different control flows…; for these iterations we have
+/// measured…"); aggregating per path as iterations close keeps memory
+/// proportional to the distinct paths, not the iterations.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathBucket {
+    /// Iterations that took this path.
+    iterations: u64,
+    /// Live-in registers observed, and how many were predicted.
+    lr_seen: u64,
+    lr_correct: u64,
+    /// Live-in memory locations observed, and how many were predicted
+    /// (address *and* value).
+    lm_seen: u64,
+    lm_correct: u64,
+    /// Iterations with every live-in register predicted (vacuously true
+    /// with none), every live-in memory location, and both.
+    all_lr: u64,
+    all_lm: u64,
+    all_data: u64,
 }
 
 /// The Figure 8 statistics, as percentages over iterations of each loop's
@@ -84,24 +68,43 @@ pub struct DataSpecReport {
     pub lm_seen: u64,
 }
 
+/// One loop's row of the live-in table: a stride predictor per register
+/// slot and, per live-in load slot, one for the address and one for the
+/// value.
+#[derive(Debug)]
+struct LoopPredictors {
+    regs: [Stride; 64],
+    mem: Vec<(Stride, Stride)>,
+}
+
+impl Default for LoopPredictors {
+    fn default() -> Self {
+        LoopPredictors {
+            regs: [Stride::default(); 64],
+            mem: Vec::new(),
+        }
+    }
+}
+
 /// The live-in analysis proper, detached from loop detection: charges
 /// instructions to the open iteration frames and rolls the
 /// stride predictors at the iteration boundaries *somebody else*
 /// announces.
 ///
-/// This is the streaming-pipeline form of the profiler: it implements
-/// [`Tracer`] for the per-instruction half and [`LoopEventSink`] for the
-/// boundary half, so a `loopspec_pipeline::Session` can drive it from
-/// the **shared** CLS of the whole pass instead of a private duplicate.
-/// When driving a CPU directly, use [`DataSpecProfiler`], which bundles a
-/// detector and keeps the two halves synchronised.
+/// It implements [`Tracer`] for the per-instruction half and
+/// [`LoopEventSink`] for the boundary half, so a
+/// `loopspec_pipeline::Session` can drive it from the session's CLS
+/// (register it with `observe_both`). When driving a CPU directly, use
+/// [`DataSpecProfiler`], which bundles a detector and keeps the two
+/// halves synchronised.
 #[derive(Debug, Default)]
 pub struct LiveInProfiler {
+    /// Open iteration frames, oldest first.
     frames: Vec<IterFrame>,
-    reg_pred: StridePredictor<(LoopId, u8)>,
-    mem_addr_pred: StridePredictor<(LoopId, u16)>,
-    mem_val_pred: StridePredictor<(LoopId, u16)>,
-    records: Vec<IterRecord>,
+    /// Closed frames kept for reuse.
+    spare: Vec<IterFrame>,
+    predictors: FastMap<LoopId, Box<LoopPredictors>>,
+    buckets: FastMap<(LoopId, u64), PathBucket>,
     mem_overflow: u64,
 }
 
@@ -111,16 +114,11 @@ impl LiveInProfiler {
         Self::default()
     }
 
-    /// The per-iteration records collected so far.
-    pub fn records(&self) -> &[IterRecord] {
-        &self.records
-    }
-
     /// Finalises nothing (frames still open are discarded — they belong
     /// to iterations whose end was never observed) and aggregates the
     /// Figure 8 report.
     pub fn report(&self) -> DataSpecReport {
-        aggregate(&self.records, self.mem_overflow)
+        aggregate(&self.buckets, self.mem_overflow)
     }
 
     /// Charges one retired instruction to every open iteration frame.
@@ -130,40 +128,16 @@ impl LiveInProfiler {
     /// branch belongs to the iteration it ends. Both drivers (the bundled
     /// [`DataSpecProfiler`] and the pipeline `Session`) preserve this
     /// order.
+    #[inline]
     pub fn observe_instr(&mut self, ev: &InstrEvent) {
-        // Charge the instruction to every open iteration (instructions
-        // of nested loops and called subroutines belong to all
-        // enclosing executions). The path signature covers every
-        // *dynamically divergent* control transfer: conditional
-        // branches by outcome, indirect jumps/calls and returns by
-        // target (a "path" is the exact instruction sequence of the
-        // iteration, paper §4).
+        // Instructions of nested loops and called subroutines belong to
+        // all enclosing executions.
         if self.frames.is_empty() {
             return;
         }
-        let divergence = match ev.control.kind {
-            ControlKind::CondBranch { .. } => Some(ev.control.taken as u32),
-            ControlKind::IndirectJump | ControlKind::IndirectCall | ControlKind::Ret => {
-                Some(ev.control.target.index())
-            }
-            _ => None,
-        };
+        let facts = InstrFacts::new(ev);
         for frame in &mut self.frames {
-            for read in ev.reads.iter().flatten() {
-                frame.note_reg_read(read.reg, read.value);
-            }
-            if let Some(w) = ev.write {
-                frame.note_reg_write(w.reg);
-            }
-            if let Some(m) = ev.mem_read {
-                frame.note_load(m.addr, m.value);
-            }
-            if let Some(m) = ev.mem_write {
-                frame.note_store(m.addr);
-            }
-            if let Some(d) = divergence {
-                frame.note_divergence(ev.pc.index(), d);
-            }
+            frame.charge(&facts);
         }
     }
 
@@ -174,37 +148,46 @@ impl LiveInProfiler {
         let frame = self.frames.remove(idx);
         self.mem_overflow += frame.mem_overflow;
 
-        let mut rec = IterRecord {
-            loop_id,
-            path: frame.path_hash,
-            lr_seen: 0,
-            lr_correct: 0,
-            lm_seen: 0,
-            lm_correct: 0,
-        };
-        for (reg, value) in frame.livein_regs_iter() {
-            rec.lr_seen += 1;
-            let out = self.reg_pred.observe((loop_id, reg_slot(reg) as u8), value);
-            if out.is_correct() {
-                rec.lr_correct += 1;
-            }
+        let preds = self.predictors.entry(loop_id).or_default();
+        let (mut lr_seen, mut lr_correct) = (0u64, 0u64);
+        for (slot, value) in frame.livein_regs() {
+            lr_seen += 1;
+            lr_correct += preds.regs[slot as usize].observe(value).is_correct() as u64;
         }
-        for (slot, &(addr, value)) in frame.livein_mem.iter().enumerate() {
-            rec.lm_seen += 1;
-            let a = self.mem_addr_pred.observe((loop_id, slot as u16), addr);
-            let v = self.mem_val_pred.observe((loop_id, slot as u16), value);
-            if a.is_correct() && v.is_correct() {
-                rec.lm_correct += 1;
-            }
+        let lm_seen = frame.livein_mem.len() as u64;
+        if preds.mem.len() < frame.livein_mem.len() {
+            preds.mem.resize(frame.livein_mem.len(), Default::default());
+        }
+        let mut lm_correct = 0u64;
+        for ((addr_pred, val_pred), &(addr, value)) in preds.mem.iter_mut().zip(&frame.livein_mem) {
             // Both predictors train even when the other missed; a cold
-            // (PredOutcome::Cold) observation counts as not-predicted.
-            let _ = PredOutcome::Cold;
+            // observation counts as not-predicted.
+            let a = addr_pred.observe(addr);
+            let v = val_pred.observe(value);
+            lm_correct += (a.is_correct() && v.is_correct()) as u64;
         }
-        self.records.push(rec);
+        let bucket = self.buckets.entry((loop_id, frame.path_hash)).or_default();
+        let (all_lr, all_lm) = (lr_correct == lr_seen, lm_correct == lm_seen);
+        bucket.iterations += 1;
+        bucket.lr_seen += lr_seen;
+        bucket.lr_correct += lr_correct;
+        bucket.lm_seen += lm_seen;
+        bucket.lm_correct += lm_correct;
+        bucket.all_lr += all_lr as u64;
+        bucket.all_lm += all_lm as u64;
+        bucket.all_data += (all_lr && all_lm) as u64;
+        self.spare.push(frame);
     }
 
     fn open_frame(&mut self, loop_id: LoopId) {
-        self.frames.push(IterFrame::new(loop_id));
+        let frame = match self.spare.pop() {
+            Some(mut frame) => {
+                frame.reset(loop_id);
+                frame
+            }
+            None => IterFrame::new(loop_id),
+        };
+        self.frames.push(frame);
     }
 }
 
@@ -258,11 +241,6 @@ impl DataSpecProfiler {
         Self::default()
     }
 
-    /// The per-iteration records collected so far.
-    pub fn records(&self) -> &[IterRecord] {
-        self.inner.records()
-    }
-
     /// Aggregates the Figure 8 report (see [`LiveInProfiler::report`]).
     pub fn report(&self) -> DataSpecReport {
         self.inner.report()
@@ -293,58 +271,48 @@ fn percent(num: u64, den: u64) -> f64 {
     }
 }
 
-fn aggregate(records: &[IterRecord], mem_overflow: u64) -> DataSpecReport {
-    // Pass 1: most frequent path per loop.
-    let mut paths: HashMap<LoopId, HashMap<u64, u64>> = HashMap::new();
-    for r in records {
-        *paths
-            .entry(r.loop_id)
-            .or_default()
-            .entry(r.path)
-            .or_insert(0) += 1;
-    }
-    let mfp: HashMap<LoopId, u64> = paths
-        .iter()
-        .map(|(l, m)| {
-            let best = m
-                .iter()
-                .max_by_key(|(_, &c)| c)
-                .map(|(&p, _)| p)
-                .expect("non-empty path map");
-            (*l, best)
-        })
-        .collect();
-
-    // Pass 2: aggregate over most-frequent-path iterations.
-    let mut on_path = 0u64;
-    let (mut lr_seen, mut lr_ok, mut lm_seen, mut lm_ok) = (0u64, 0u64, 0u64, 0u64);
-    let (mut all_lr, mut all_lm, mut all_data) = (0u64, 0u64, 0u64);
-    for r in records {
-        if mfp.get(&r.loop_id) != Some(&r.path) {
-            continue;
+/// Folds the per-(loop, path) buckets into the Figure 8 report. Each
+/// loop's most frequent path wins; ties go to the smallest path hash, so
+/// the report does not depend on the order the buckets are visited in.
+fn aggregate<'a>(
+    buckets: impl IntoIterator<Item = (&'a (LoopId, u64), &'a PathBucket)>,
+    mem_overflow: u64,
+) -> DataSpecReport {
+    let mut iterations = 0u64;
+    let mut best: FastMap<LoopId, (u64, &PathBucket)> = FastMap::default();
+    for (&(loop_id, path), bucket) in buckets {
+        iterations += bucket.iterations;
+        let (best_path, best_bucket) = best.entry(loop_id).or_insert((path, bucket));
+        let count = (bucket.iterations, best_bucket.iterations);
+        if count.0 > count.1 || (count.0 == count.1 && path < *best_path) {
+            (*best_path, *best_bucket) = (path, bucket);
         }
-        on_path += 1;
-        lr_seen += r.lr_seen as u64;
-        lr_ok += r.lr_correct as u64;
-        lm_seen += r.lm_seen as u64;
-        lm_ok += r.lm_correct as u64;
-        all_lr += r.all_lr() as u64;
-        all_lm += r.all_lm() as u64;
-        all_data += r.all_data() as u64;
+    }
+
+    let mut on = PathBucket::default();
+    for (_, b) in best.values() {
+        on.iterations += b.iterations;
+        on.lr_seen += b.lr_seen;
+        on.lr_correct += b.lr_correct;
+        on.lm_seen += b.lm_seen;
+        on.lm_correct += b.lm_correct;
+        on.all_lr += b.all_lr;
+        on.all_lm += b.all_lm;
+        on.all_data += b.all_data;
     }
 
     DataSpecReport {
-        iterations: records.len() as u64,
-        loops: paths.len(),
-        same_path_percent: percent(on_path, records.len() as u64),
-        lr_pred_percent: percent(lr_ok, lr_seen),
-        lm_pred_percent: percent(lm_ok, lm_seen),
-        all_lr_percent: percent(all_lr, on_path),
-        all_lm_percent: percent(all_lm, on_path),
-        all_data_percent: percent(all_data, on_path),
+        iterations,
+        loops: best.len(),
+        same_path_percent: percent(on.iterations, iterations),
+        lr_pred_percent: percent(on.lr_correct, on.lr_seen),
+        lm_pred_percent: percent(on.lm_correct, on.lm_seen),
+        all_lr_percent: percent(on.all_lr, on.iterations),
+        all_lm_percent: percent(on.all_lm, on.iterations),
+        all_data_percent: percent(on.all_data, on.iterations),
         mem_slot_overflow: mem_overflow,
-        lr_seen,
-        lm_seen,
+        lr_seen: on.lr_seen,
+        lm_seen: on.lm_seen,
     }
 }
 
@@ -497,19 +465,53 @@ mod tests {
     }
 
     #[test]
-    fn record_helpers() {
-        let mut r = IterRecord {
-            loop_id: LoopId(loopspec_isa::Addr::new(1)),
-            path: 0,
-            lr_seen: 2,
-            lr_correct: 2,
-            lm_seen: 1,
-            lm_correct: 0,
+    fn tied_paths_resolve_to_the_smallest_path_hash_in_any_order() {
+        let l = LoopId(loopspec_isa::Addr::new(1));
+        let good = PathBucket {
+            iterations: 3,
+            lr_seen: 6,
+            lr_correct: 6,
+            all_lr: 3,
+            all_lm: 3,
+            all_data: 3,
+            ..PathBucket::default()
         };
-        assert!(r.all_lr());
-        assert!(!r.all_lm());
-        assert!(!r.all_data());
-        r.lm_correct = 1;
-        assert!(r.all_data());
+        let bad = PathBucket {
+            iterations: 3,
+            lr_seen: 6,
+            all_lm: 3,
+            ..PathBucket::default()
+        };
+        let entries = [((l, 7), good), ((l, 9), bad)];
+        let forward = aggregate(entries.iter().map(|(k, b)| (k, b)), 0);
+        let backward = aggregate(entries.iter().rev().map(|(k, b)| (k, b)), 0);
+        assert_eq!(forward, backward);
+        assert_eq!(forward.lr_pred_percent, 100.0, "path 7 wins the tie");
+        assert_eq!(forward.same_path_percent, 50.0);
+
+        // Swapping the hashes swaps the winner.
+        let entries = [((l, 9), good), ((l, 7), bad)];
+        let forward = aggregate(entries.iter().map(|(k, b)| (k, b)), 0);
+        let backward = aggregate(entries.iter().rev().map(|(k, b)| (k, b)), 0);
+        assert_eq!(forward, backward);
+        assert_eq!(forward.lr_pred_percent, 0.0, "path 7 wins the tie");
+    }
+
+    #[test]
+    fn the_more_frequent_path_beats_a_smaller_hash() {
+        let l = LoopId(loopspec_isa::Addr::new(1));
+        let small = PathBucket {
+            iterations: 1,
+            ..PathBucket::default()
+        };
+        let big = PathBucket {
+            iterations: 2,
+            lr_seen: 1,
+            lr_correct: 1,
+            ..PathBucket::default()
+        };
+        let r = aggregate([(&(l, 1), &small), (&(l, 2), &big)], 4);
+        assert_eq!((r.iterations, r.loops, r.lr_seen), (3, 1, 1));
+        assert_eq!(r.mem_slot_overflow, 4);
     }
 }

@@ -1,7 +1,8 @@
 //! Last-value-plus-stride prediction.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use loopspec_core::hash::FastMap;
 
 /// Outcome of presenting an observed value to a [`StridePredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,15 +24,43 @@ impl PredOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct VState {
+/// One last-value + stride predictor: the (last value, stride) pair the
+/// LIT keeps per live-in location.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stride {
     last: u64,
     stride: i64,
     observations: u32,
 }
 
+impl Stride {
+    /// Checks the prediction against `value`, then trains on it.
+    #[inline]
+    pub(crate) fn observe(&mut self, value: u64) -> PredOutcome {
+        let outcome = if self.observations < 2 {
+            PredOutcome::Cold
+        } else if self.predict() == value {
+            PredOutcome::Correct
+        } else {
+            PredOutcome::Incorrect
+        };
+        if self.observations > 0 {
+            self.stride = value.wrapping_sub(self.last) as i64;
+        }
+        self.last = value;
+        self.observations = self.observations.saturating_add(1);
+        outcome
+    }
+
+    #[inline]
+    fn predict(&self) -> u64 {
+        self.last.wrapping_add(self.stride as u64)
+    }
+}
+
 /// A map of last-value + stride predictors keyed by `K` (the paper keys
-/// by loop × live-in location).
+/// by loop × live-in location). Keys are hashed with a fast
+/// non-cryptographic hasher: they are meant to be simulator-generated.
 ///
 /// [`StridePredictor::observe`] both *checks* the prediction for the new
 /// observation and *trains* on it, in that order — exactly the roll the
@@ -47,7 +76,7 @@ struct VState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StridePredictor<K> {
-    states: HashMap<K, VState>,
+    states: FastMap<K, Stride>,
 }
 
 impl<K: Eq + Hash> Default for StridePredictor<K> {
@@ -60,42 +89,14 @@ impl<K: Eq + Hash> StridePredictor<K> {
     /// Creates an empty (unbounded) predictor map.
     pub fn new() -> Self {
         StridePredictor {
-            states: HashMap::new(),
+            states: FastMap::default(),
         }
     }
 
     /// Checks the prediction for `key` against `value`, then trains on
     /// `value`.
     pub fn observe(&mut self, key: K, value: u64) -> PredOutcome {
-        match self.states.get_mut(&key) {
-            None => {
-                self.states.insert(
-                    key,
-                    VState {
-                        last: value,
-                        stride: 0,
-                        observations: 1,
-                    },
-                );
-                PredOutcome::Cold
-            }
-            Some(st) => {
-                let outcome = if st.observations >= 2 {
-                    let predicted = st.last.wrapping_add(st.stride as u64);
-                    if predicted == value {
-                        PredOutcome::Correct
-                    } else {
-                        PredOutcome::Incorrect
-                    }
-                } else {
-                    PredOutcome::Cold
-                };
-                st.stride = value.wrapping_sub(st.last) as i64;
-                st.last = value;
-                st.observations += 1;
-                outcome
-            }
-        }
+        self.states.entry(key).or_default().observe(value)
     }
 
     /// Peeks at the current prediction for `key` without training.
@@ -103,7 +104,7 @@ impl<K: Eq + Hash> StridePredictor<K> {
         self.states
             .get(key)
             .filter(|st| st.observations >= 2)
-            .map(|st| st.last.wrapping_add(st.stride as u64))
+            .map(Stride::predict)
     }
 
     /// Number of tracked keys.

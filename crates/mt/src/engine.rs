@@ -31,10 +31,10 @@ use std::collections::BTreeSet;
 use loopspec_core::LoopId;
 
 use crate::annotate::{AnnotatedTrace, TraceEventKind};
-use crate::hash::FastMap;
 use crate::policy::{SpecContext, SpeculationPolicy};
 use crate::predictor::IterPredictor;
 use crate::stats::SpecStats;
+use loopspec_core::hash::FastMap;
 
 /// Result of an [`Engine`] run.
 #[derive(Debug, Clone, PartialEq)]

@@ -64,7 +64,6 @@
 mod annotate;
 mod engine;
 mod grid;
-mod hash;
 mod ideal;
 mod oracle;
 mod policy;
